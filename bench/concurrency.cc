@@ -9,21 +9,18 @@
 //     Warm throughput should scale until the pool saturates; warm vs. cold
 //     shows the planning cost the cache amortizes away.
 //
-//  2. Capped plan cache, LRU vs. FIFO — a skewed working set (per client
-//     per round: many evaluations cycling a small shared hot set + one
-//     one-off size) with the cache capped below the working-set size. LRU
-//     keeps the hot templates resident (hit rate stays near the hot
-//     fraction); FIFO lets the one-off stream push them out and thrashes.
+//  2. Capped plan cache — a skewed working set (per client per round: many
+//     evaluations cycling a small shared hot set + one one-off size) with
+//     the LRU cache capped below the working-set size. LRU keeps the hot
+//     templates resident, so the hit rate stays near the hot fraction.
 //
-//  3. Loaded pool: fixed vs. adaptive vs. adaptive+batching — half the
-//     clients run large pooled plans to congest the queue while the other
-//     half run small ones. Watch the policies move: under the adaptive
-//     gate, mid-size plans migrate inline ("large inline" column) and
-//     token-wait time collapses as the smoothed queue depth climbs; with
-//     batching on, the collector coalesces the small-plan stream into far
-//     fewer dispatches (paper §6: amortize per-invocation overhead across
-//     requests). On a single-core CI box the wall-clock columns are noisy —
-//     read the routing and wait columns, not absolute throughput.
+//  3. Loaded pool: fixed vs. adaptive admission — half the clients run
+//     large pooled plans to congest the queue while the other half run
+//     small ones. Watch the policies move: under the adaptive gate,
+//     mid-size plans migrate inline ("large inline" column) and token-wait
+//     time collapses as the smoothed queue depth climbs. On a single-core
+//     CI box the wall-clock columns are noisy — read the routing and wait
+//     columns, not absolute throughput.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -110,20 +107,18 @@ SweepResult RunClients(int num_clients, long n) {
   return r;
 }
 
-// ------------------------------------------------- capped cache, LRU/FIFO ----
+// ------------------------------------------------------- capped LRU cache ----
 
-struct PolicyResult {
+struct CappedCacheResult {
   double warm_hit_rate = 0;  // measured after one warmup round
   std::int64_t evictions = 0;
 };
 
 // Skewed access: per client per round, kHotEvals evaluations cycling over
 // kHotKeys shared hot sizes plus ONE one-off size never seen again. The
-// cache cap leaves room for the hot set plus a couple of one-offs — under
-// LRU the constantly touched hot templates are never the victim; under FIFO
-// each one-off eviction lands on the oldest *insertion*, i.e. a hot
-// template, and the reinsert cascades into the next one.
-PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_hot) {
+// cache cap leaves room for the hot set plus a couple of one-offs, and the
+// constantly touched hot templates are never the LRU victim.
+CappedCacheResult RunCappedCache(int num_clients, long n_hot) {
   constexpr int kHotKeys = 4;
   constexpr int kHotEvals = 16;  // four passes over the hot set per round
   constexpr int kRounds = 6;
@@ -134,7 +129,6 @@ PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_h
       .max_pool_sessions = 2,
       .serial_cutoff_elems = 4096,
       .plan_cache_entries = kCacheCap,
-      .plan_cache_policy = policy,
   });
 
   auto client_body = [&](int c, int rounds, bool measured) {
@@ -177,7 +171,7 @@ PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_h
     t.join();
   }
 
-  PolicyResult r;
+  CappedCacheResult r;
   const double hits = static_cast<double>(ctx.plan_cache().hits() - hits0);
   const double misses = static_cast<double>(ctx.plan_cache().misses() - misses0);
   r.warm_hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0.0;
@@ -191,16 +185,14 @@ struct LoadedResult {
   double small_cold_evals_per_sec = 0;
   double small_warm_evals_per_sec = 0;
   mz::EvalStats::Snapshot stats;
-  std::int64_t batch_dispatches = 0;
-  std::int64_t batch_jobs = 0;
 };
 
 // `small_clients` evaluate a tiny pipeline while `large_clients` congest
 // the shared pool with full-width plans for a fixed amount of work.
 // Small-client throughput and where the large plans ran (pooled vs. pushed
 // inline by the adaptive cutoff) are what the policies move.
-LoadedResult RunLoaded(bool adaptive, bool batching, int small_clients, int large_clients,
-                       long n_small, long n_large) {
+LoadedResult RunLoaded(bool adaptive, int small_clients, int large_clients, long n_small,
+                       long n_large) {
   constexpr int kSmallRounds = 30;
   constexpr int kLargeRounds = 6;
 
@@ -221,10 +213,6 @@ LoadedResult RunLoaded(bool adaptive, bool batching, int small_clients, int larg
   // plans qualify, whatever the bench scale made them.
   serving.admission_tuning.base_cutoff_elems = serving.serial_cutoff_elems;
   serving.admission_tuning.max_cutoff_elems = 2 * n_large;
-  // The window must stay well under a small plan's execution cost or the
-  // wait dominates what batching amortizes.
-  serving.batch_window_us = batching ? 25 : 0;
-  serving.batch_max_plans = 8;
   mz::ServingContext ctx(serving);
 
   std::vector<std::thread> large;
@@ -286,10 +274,6 @@ LoadedResult RunLoaded(bool adaptive, bool batching, int small_clients, int larg
     t.join();
   }
   r.stats = ctx.AggregateStats();
-  if (ctx.batcher() != nullptr) {
-    r.batch_dispatches = ctx.batcher()->dispatches();
-    r.batch_jobs = ctx.batcher()->jobs();
-  }
   return r;
 }
 
@@ -324,19 +308,17 @@ int main() {
                   static_cast<double>(r.stats.pooled_evals));
   }
 
-  bench::Title("Capped plan cache (6 entries), skewed working set: LRU vs. FIFO");
+  bench::Title("Capped LRU plan cache (6 entries), skewed working set");
   bench::Note("16 clients x 6 rounds x (16 hot evals over 4 shared sizes + 1 one-off size); "
-              "warm hit rate should approach the 16/17 ~ 94% hot fraction under LRU and "
-              "collapse under FIFO");
+              "warm hit rate should approach the 16/17 ~ 94% hot fraction");
   const long n_hot = bench::Scaled(1 << 14);
   std::printf("%8s %14s %12s\n", "policy", "warm hit rate", "evictions");
-  for (mz::EvictionPolicy policy : {mz::EvictionPolicy::kLru, mz::EvictionPolicy::kFifo}) {
-    PolicyResult r = RunCappedCache(policy, /*num_clients=*/16, n_hot);
-    const char* name = policy == mz::EvictionPolicy::kLru ? "LRU" : "FIFO";
-    std::printf("%8s %13.1f%% %12lld\n", name, 100.0 * r.warm_hit_rate,
+  {
+    CappedCacheResult r = RunCappedCache(/*num_clients=*/16, n_hot);
+    std::printf("%8s %13.1f%% %12lld\n", "LRU", 100.0 * r.warm_hit_rate,
                 static_cast<long long>(r.evictions));
-    bench::Metric("concurrency", "capped_cache", name, "warm_hit_rate", r.warm_hit_rate);
-    bench::Metric("concurrency", "capped_cache", name, "evictions",
+    bench::Metric("concurrency", "capped_cache", "LRU", "warm_hit_rate", r.warm_hit_rate);
+    bench::Metric("concurrency", "capped_cache", "LRU", "evictions",
                   static_cast<double>(r.evictions));
   }
 
@@ -344,40 +326,31 @@ int main() {
   const long n_large = bench::Scaled(kBaseElems * 4);
   bench::Note("8 small clients (1024 elems) vs. 8 large clients (" + std::to_string(n_large) +
               " elems) congesting the pool; the adaptive gate pushes mid-size plans inline as "
-              "queue depth climbs, and the collector coalesces small dispatches");
-  std::printf("%22s %16s %16s %10s %14s %10s\n", "config", "cold evals/s", "warm evals/s",
-              "batched", "large inline", "wait ms");
+              "queue depth climbs");
+  std::printf("%22s %16s %16s %14s %10s\n", "config", "cold evals/s", "warm evals/s",
+              "large inline", "wait ms");
   struct Config {
     const char* name;
     bool adaptive;
-    bool batching;
   };
   const std::int64_t small_total = 8 * (1 + 30);  // smalls are always inline-class
-  for (const Config& cfg : {Config{"fixed", false, false}, Config{"adaptive", true, false},
-                            Config{"adaptive+batching", true, true}}) {
+  for (const Config& cfg : {Config{"fixed", false}, Config{"adaptive", true}}) {
     // n_small is deliberately NOT scaled: it must stay under the 2048-elem
     // base cutoff (inline-class) at every MOZART_BENCH_SCALE.
-    LoadedResult r = RunLoaded(cfg.adaptive, cfg.batching, /*small_clients=*/8,
-                               /*large_clients=*/8, /*n_small=*/1024, n_large);
-    std::printf("%22s %16.1f %16.1f %10lld %14lld %10.2f\n", cfg.name,
-                r.small_cold_evals_per_sec, r.small_warm_evals_per_sec,
-                static_cast<long long>(r.stats.batched_evals),
+    LoadedResult r = RunLoaded(cfg.adaptive, /*small_clients=*/8, /*large_clients=*/8,
+                               /*n_small=*/1024, n_large);
+    std::printf("%22s %16.1f %16.1f %14lld %10.2f\n", cfg.name, r.small_cold_evals_per_sec,
+                r.small_warm_evals_per_sec,
                 static_cast<long long>(r.stats.serial_evals - small_total),
                 static_cast<double>(r.stats.admission_wait_ns) * 1e-6);
     bench::Metric("concurrency", "loaded_pool", cfg.name, "small_cold_evals_per_sec",
                   r.small_cold_evals_per_sec);
     bench::Metric("concurrency", "loaded_pool", cfg.name, "small_warm_evals_per_sec",
                   r.small_warm_evals_per_sec);
-    bench::Metric("concurrency", "loaded_pool", cfg.name, "batched_evals",
-                  static_cast<double>(r.stats.batched_evals));
     bench::Metric("concurrency", "loaded_pool", cfg.name, "large_inline",
                   static_cast<double>(r.stats.serial_evals - small_total));
     bench::Metric("concurrency", "loaded_pool", cfg.name, "admission_wait_ms",
                   static_cast<double>(r.stats.admission_wait_ns) * 1e-6);
-    if (cfg.batching && r.batch_dispatches > 0) {
-      bench::Note("batcher: " + std::to_string(r.batch_jobs) + " jobs in " +
-                  std::to_string(r.batch_dispatches) + " dispatches");
-    }
   }
   return 0;
 }

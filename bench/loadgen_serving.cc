@@ -1,6 +1,6 @@
 // Closed-loop serving load generator: adversarial multi-tenant traffic over
-// one ServingContext (ISSUE 8). Three experiments, each an ablation pair so
-// the new policy and its baseline land in the same BENCH json:
+// one ServingContext. Four experiments; the ablation pairs land the policy
+// and its baseline in the same BENCH json:
 //
 //  1. Fairness under a chatty neighbor — 4 chatty tenants x 3 connections
 //     each vs. 12 sparse single-connection tenants, every connection a
@@ -11,27 +11,19 @@
 //     index over per-TENANT completions, plus per-class p50/p95/p99 of
 //     request latency and of per-request admission wait. DRR should hold
 //     Jain near 1.0 (each tenant is one rotation slot, however many
-//     connections it opens); the FIFO ablation serves per *connection*, so
-//     chatty tenants earn ~3x and Jain drops toward 0.75.
+//     connections it opens); serving per *connection* would let chatty
+//     tenants earn ~3x and drop Jain toward 0.75.
 //
-//  2. Lone client vs. the batch window — an OPEN arrival process (the
-//     client paces submissions with exponential think time, independent of
-//     completions) against a 400 us coalescing window. With the fixed
-//     window every evaluation is a rider-less leader sleeping out the full
-//     window; the arrival-rate-adaptive window predicts no rider and
-//     collapses the wait. Reported: per-eval latency percentiles and the
-//     total adapted window the leaders actually chose.
-//
-//  3. Plan-cache byte budget, allocator-true vs. structural-estimate
+//  2. Plan-cache byte budget, allocator-true vs. structural-estimate
 //     accounting — a stream of distinct plan templates against one byte
 //     budget. True accounting charges what the entries really allocate
 //     (capacity slack, allocator rounding, string buffers), so fewer stay
 //     resident; the estimate ablation undercharges and overpacks the same
 //     budget. Reported: resident entries/bytes and evictions per policy.
 //
-//  4. Deadline-bearing clients, shedding on vs. off (ISSUE 9) — 12 closed-
-//     loop clients with a per-request deadline hammer ONE admission token
-//     with pooled-class plans, offered load ~12x capacity. With shedding ON
+//  3. Deadline-bearing clients, shedding on vs. off — 12 closed-loop
+//     clients with a per-request deadline hammer ONE admission token with
+//     pooled-class plans, offered load ~12x capacity. With shedding ON
 //     every request carries a CancelToken: the gate rejects up front
 //     (OverloadError + retry_after_us, which the client sleeps on) when the
 //     hold-time EWMA predicts the deadline cannot be met, and queued or
@@ -42,13 +34,14 @@
 //     shedding should hold served p99 near the deadline while the ablation's
 //     p99 grows with the whole queue.
 //
+//  4. Resilient clients (retry budgets vs. naive retries) and tail hedging
+//     under injected faults and stragglers — see the section comments.
+//
 // Methodology note (also in ARCHITECTURE.md): experiment 1 is CLOSED-loop —
 // every connection always has a request in flight, so completions measure
 // each tenant's *share* of a saturated resource, which is what a fairness
-// index needs. Experiment 2 is OPEN-loop — arrivals are paced externally,
-// so latency includes the queueing a real lone client would see, which is
-// what a window-policy comparison needs. Wall-clock columns are noisy on
-// single-core CI (ROADMAP); read shares, routing counts, and ratios.
+// index needs. Wall-clock columns are noisy on single-core CI (ROADMAP);
+// read shares, routing counts, and ratios.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -112,7 +105,7 @@ struct FairnessResult {
   long sessions_created = 0;
 };
 
-FairnessResult RunFairness(bool drr, long n_base, long run_ms) {
+FairnessResult RunFairness(long n_base, long run_ms) {
   constexpr int kChattyTenants = 4, kConnsPerChatty = 3, kSparseTenants = 12;
   constexpr int kTenants = kChattyTenants + kSparseTenants;
   constexpr int kEvalsPerSession = 8;  // session churn: fresh Session after this many
@@ -121,7 +114,6 @@ FairnessResult RunFairness(bool drr, long n_base, long run_ms) {
   serving.pool_threads = 4;
   serving.max_pool_sessions = 1;  // one token: admission order IS the schedule
   serving.serial_cutoff_elems = 256;  // every request in this mix is pooled-class
-  serving.fair_admission = drr;
   mz::ServingContext ctx(serving);
 
   std::vector<std::atomic<std::int64_t>> per_tenant(kTenants);
@@ -195,53 +187,7 @@ FairnessResult RunFairness(bool drr, long n_base, long run_ms) {
   return res;
 }
 
-// --------------------------------------- 2. lone client vs. batch window ----
-
-struct LoneClientResult {
-  std::vector<double> lat_us;
-  std::int64_t adapted_window_us = 0;
-  std::int64_t dispatches = 0;
-};
-
-LoneClientResult RunLoneClient(bool adaptive, long n, int evals) {
-  mz::ServingOptions serving;
-  serving.pool_threads = 2;
-  serving.max_pool_sessions = 2;
-  serving.serial_cutoff_elems = 1 << 20;  // inline-class: everything rides the batcher
-  serving.batch_window_us = 400;
-  serving.batch_max_plans = 8;
-  serving.adaptive_batch_window = adaptive;
-  mz::ServingContext ctx(serving);
-
-  LoneClientResult res;
-  {
-    const std::size_t size = static_cast<std::size_t>(n);
-    std::vector<double> a(size, 1.5), b(size, 2.5), out(size);
-    mz::SessionOptions opts;
-    opts.serving = &ctx;
-    mz::Session session(opts);
-    mz::Session::Scope scope(session);
-    // Open arrival process: exponential think time (mean 1.5 ms) between
-    // submissions, independent of completions — the smoothed inter-arrival
-    // gap sits well past the 400 us window, so no rider is ever predicted.
-    std::mt19937 rng(42);
-    std::exponential_distribution<double> think(1.0 / 1500.0);  // mean, us
-    for (int e = 0; e < evals; ++e) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<std::int64_t>(think(rng))));
-      const std::int64_t t0 = mz::NowNanos();
-      Pipeline(n, a.data(), b.data(), out.data());
-      session.Evaluate();
-      session.Reset();
-      res.lat_us.push_back(static_cast<double>(mz::NowNanos() - t0) * 1e-3);
-    }
-    res.dispatches = ctx.batcher()->dispatches();
-  }
-  res.adapted_window_us = ctx.AggregateStats().batch_window_adapted_us;
-  return res;
-}
-
-// ------------------------- 3. cache byte budget, true vs. estimate bytes ----
+// ------------------------- 2. cache byte budget, true vs. estimate bytes ----
 
 struct CacheAccountingResult {
   std::size_t resident_entries = 0;
@@ -282,7 +228,7 @@ CacheAccountingResult RunCacheAccounting(bool true_bytes, int templates, long n_
   return res;
 }
 
-// ---------------------------- 4. deadline clients, shedding on vs. off ----
+// ---------------------------- 3. deadline clients, shedding on vs. off ----
 
 struct SheddingResult {
   std::vector<double> served_ms;  // latency of requests that completed
@@ -367,7 +313,7 @@ SheddingResult RunShedding(bool shedding, long n, long deadline_us, long run_ms)
   return res;
 }
 
-// ------------------- 5. resilient clients under a faulty/overloaded gate ----
+// ------------------- 4. resilient clients under a faulty/overloaded gate ----
 
 enum class RetryPolicy { kNaive, kBudgeted, kBudgetedHedged };
 
@@ -637,11 +583,11 @@ int main() {
   const long run_ms = std::max<long>(30, bench::Scaled(400));
   bench::Note("closed loop for " + std::to_string(run_ms) + " ms; zipf sizes " +
               std::to_string(n_fair) + "..." + std::to_string(8 * n_fair) +
-              "; Jain index over per-tenant completions (16 tenants; FIFO floor with this "
-              "mix is (4*3+12)^2 / (16*(4*9+12)) = 0.75)");
-  for (bool drr : {true, false}) {
-    const std::string config = drr ? "drr" : "fifo";
-    FairnessResult r = RunFairness(drr, n_fair, run_ms);
+              "; Jain index over per-tenant completions (16 tenants; per-connection service "
+              "with this mix would floor at (4*3+12)^2 / (16*(4*9+12)) = 0.75)");
+  {
+    const std::string config = "drr";
+    FairnessResult r = RunFairness(n_fair, run_ms);
     std::printf("  %-6s Jain over tenants %.3f   (%ld sessions churned)\n", config.c_str(),
                 r.jain, r.sessions_created);
     EmitClass(config, "chatty", r.chatty);
@@ -649,27 +595,6 @@ int main() {
     bench::Metric("loadgen_serving", "fairness", config, "jain_tenant_index", r.jain);
     bench::Metric("loadgen_serving", "fairness", config, "sessions",
                   static_cast<double>(r.sessions_created));
-  }
-
-  bench::Title("Lone client vs. a 400 us batch window, open arrivals (mean 1.5 ms apart)");
-  const int evals = static_cast<int>(std::max<long>(20, bench::Scaled(300)));
-  bench::Note(std::to_string(evals) + " evaluations of a 1024-elem inline-class plan; the "
-              "fixed window sleeps 400 us per rider-less leader, the adaptive window "
-              "predicts no rider and skips the wait");
-  for (bool adaptive : {false, true}) {
-    const std::string config = adaptive ? "adaptive_window" : "fixed_window";
-    // n deliberately NOT scaled: must stay inline-class at every bench scale.
-    LoneClientResult r = RunLoneClient(adaptive, /*n=*/1024, evals);
-    std::printf("  %-16s lat p50/p95/p99 %8.1f %8.1f %8.1f us   adapted window total %lld us"
-                "   %lld dispatches\n",
-                config.c_str(), Pct(r.lat_us, 50), Pct(r.lat_us, 95), Pct(r.lat_us, 99),
-                static_cast<long long>(r.adapted_window_us),
-                static_cast<long long>(r.dispatches));
-    bench::Metric("loadgen_serving", "lone_client", config, "p50_us", Pct(r.lat_us, 50));
-    bench::Metric("loadgen_serving", "lone_client", config, "p95_us", Pct(r.lat_us, 95));
-    bench::Metric("loadgen_serving", "lone_client", config, "p99_us", Pct(r.lat_us, 99));
-    bench::Metric("loadgen_serving", "lone_client", config, "adapted_window_us",
-                  static_cast<double>(r.adapted_window_us));
   }
 
   bench::Title("Plan-cache byte budget (64 KiB): allocator-true vs. estimated accounting");

@@ -57,7 +57,7 @@ fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
   # Concurrency-focused subset: the serving layer (sessions, plan cache,
-  # admission, batching — the `serving` label groups its test battery), the
+  # admission — the `serving` label groups its test battery), the
   # runtime, and the pool. The full suite under TSan's ~10x slowdown is not
   # worth the wall time; these labels cover every lock.
   # lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV

@@ -2,8 +2,7 @@
 //
 // MZ_FAULT(site) marks a named injection point. Sites are compiled into the
 // production paths the chaos battery exercises — admission, the executor's
-// batch/split/merge loops, plan-cache lookups, batch dispatch, stream chunk
-// handling — and cost a single relaxed atomic load plus a never-taken branch
+// batch/split/merge loops, plan-cache lookups, stream chunk handling — and cost a single relaxed atomic load plus a never-taken branch
 // when the injector is disarmed (the default), so shipping them is free.
 //
 // When armed (FaultInjector::Global().Arm(cfg)), every hit of a site draws

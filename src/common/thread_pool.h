@@ -45,8 +45,8 @@ class ThreadPool {
 
   // Same, but on only `width` workers (clamped to [1, num_threads()]):
   // fn(0) on the calling thread plus width-1 queued tasks. Lets narrow work
-  // (e.g. a small batch of serial jobs, core/batch.h) avoid waking the
-  // whole pool.
+  // (e.g. a pipeline region with fewer batches than workers) avoid waking
+  // the whole pool.
   void RunOnWorkers(int width, const std::function<void(int)>& fn);
 
   // Statically partitions [begin, end) into one contiguous range per worker

@@ -241,9 +241,7 @@ std::shared_ptr<const Plan> PlanCache::Lookup(const PlanKey& key) {
   if (it != buckets_.end()) {
     for (Entry& entry : it->second) {
       if (entry.words == key.words) {
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, entry.order_it);  // promote to MRU
-        }
+        order_.splice(order_.end(), order_, entry.order_it);  // promote to MRU
         ++hits_;  // under mu_: the count can never lag the lookup it records
         return entry.tmpl;  // refcount bump — the template copy, if any,
                             // happens outside the lock (InstantiatePlan)
@@ -324,9 +322,7 @@ PlanCacheInsertOutcome PlanCache::Insert(const PlanKey& key, Plan plan_template,
       bytes_ -= entry.bytes;
       entry.bytes = entry_bytes;
       outcome.inserted_bytes = entry_bytes;
-      if (opts_.policy == EvictionPolicy::kLru) {
-        order_.splice(order_.end(), order_, entry.order_it);  // a refresh is a touch
-      }
+      order_.splice(order_.end(), order_, entry.order_it);  // a refresh is a touch
       seq = entry.seq;
       refreshed = true;
       break;

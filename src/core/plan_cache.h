@@ -36,8 +36,8 @@
 // promote the entry to most-recently-used, and the victim is always the
 // least-recently-used entry. Serving working sets are skewed — a few hot
 // pipelines plus a stream of one-offs — and LRU keeps the hot templates
-// resident where insertion-order (FIFO) eviction lets the one-off stream
-// push them out; kFifo is retained as a policy for exactly that comparison.
+// resident where insertion-order eviction would let the one-off stream
+// push them out.
 //
 // PlanCache is thread-safe. Lookup mutates recency, so every operation takes
 // one exclusive mutex, and the hit/miss counters are updated under that same
@@ -119,11 +119,6 @@ std::size_t CountPlanHeapBytes(const std::vector<std::uint64_t>& key_words,
                                const Plan& plan_template,
                                const std::vector<std::shared_ptr<const void>>& pins);
 
-enum class EvictionPolicy {
-  kLru,   // lookups promote; victim = least recently used
-  kFifo,  // pure insertion order; lookups do not promote
-};
-
 enum class CacheAccounting {
   kTrueBytes,  // CountPlanHeapBytes of the entry as stored (default)
   kEstimate,   // deterministic EstimatePlanBytes (ablation / exact-model tests)
@@ -136,7 +131,6 @@ struct PlanCacheOptions {
   // victim, so one template larger than the whole budget stays resident
   // alone rather than thrashing.
   std::size_t max_bytes = 0;
-  EvictionPolicy policy = EvictionPolicy::kLru;
   CacheAccounting accounting = CacheAccounting::kTrueBytes;
 };
 
@@ -158,7 +152,7 @@ class PlanCache {
   explicit PlanCache(const PlanCacheOptions& opts);
 
   // Returns the cached template (shared, immutable) or null. Full-
-  // fingerprint compare; promotes the entry (kLru) and counts a hit/miss
+  // fingerprint compare; promotes the entry and counts a hit/miss
   // under the same lock as the lookup itself. Handing out a shared_ptr
   // keeps the critical section O(1): instantiation copies outside the
   // lock, and a template stays valid even if it is evicted mid-use.
@@ -207,7 +201,7 @@ class PlanCache {
   std::uint64_t next_seq_ = 0;
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   // Recency order as (bucket hash, entry seq): front = next victim, back =
-  // most recently used (kLru) / most recently inserted (kFifo).
+  // most recently used.
   std::list<std::pair<std::uint64_t, std::uint64_t>> order_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/admission.h"
-#include "core/batch.h"
 #include "core/plan_cache.h"
 #include "core/stream.h"
 
@@ -231,9 +230,8 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
   exec_opts.pipeline_stages = opts_.pipeline_stages;
   exec_opts.cancel = eval_opts.cancel;
 
-  // Admission (see admission.h): small plans stay on the calling thread —
-  // or coalesce with other sessions' small plans through the BatchCollector
-  // — while large ones hold a token for the shared pool. An adaptive gate
+  // Admission (see admission.h): small plans stay on the calling thread
+  // while large ones hold a token for the shared pool. An adaptive gate
   // is fed the pool's queue depth and supplies a congestion-scaled cutoff.
   {
     AdmissionGate* gate = opts_.admission;
@@ -249,7 +247,6 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
     }
     ThreadPool* exec_pool = pool_;
     AdmissionGate::Ticket ticket;
-    bool batched = false;
     bool pooled = false;
     if (gate != nullptr || opts_.serial_cutoff_elems > 0) {
       const std::int64_t cutoff =
@@ -270,7 +267,6 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
       }
       if (est.sized && est.bytes <= cutoff * kNominalElemBytes) {
         exec_pool = SerialPool();
-        batched = opts_.batcher != nullptr;
         stats_.serial_evals.fetch_add(1, std::memory_order_relaxed);
       } else if (gate != nullptr) {
         std::int64_t t0 = opts_.collect_stats ? NowNanos() : 0;
@@ -287,21 +283,8 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
         pooled = true;
       }
     }
-    if (batched) {
-      // exec_pool is this runtime's 1-thread inline pool, so the job runs
-      // the whole plan serially on whichever worker claims it; the caller
-      // blocks in Run until its results are visible (batch.h).
-      stats_.batched_evals.fetch_add(1, std::memory_order_relaxed);
-      opts_.batcher->Run(
-          [&] {
-            Executor executor(&graph_, registry_, exec_pool, exec_opts, &stats_);
-            executor.Run(plan);
-          },
-          &stats_, eval_opts.cancel.deadline_ns());
-    } else {
-      Executor executor(&graph_, registry_, exec_pool, exec_opts, &stats_);
-      executor.Run(plan);
-    }
+    Executor executor(&graph_, registry_, exec_pool, exec_opts, &stats_);
+    executor.Run(plan);
     // Re-observe as pooled work retires, not just as it arrives: an
     // entry-only EWMA would hold a burst's shrunk budget / raised cutoff
     // for as long as the pool afterwards sat idle (no evaluations = no

@@ -27,7 +27,6 @@
 namespace mz {
 
 class AdmissionGate;
-class BatchCollector;
 class PlanCache;
 class StreamSource;
 struct StreamOptions;
@@ -80,8 +79,8 @@ struct RuntimeOptions {
   std::uint64_t admission_session = 0;
   int admission_weight = 1;
   // Per-tenant rate quota (> 0 enables): installs a token bucket for
-  // admission_session on the gate; every evaluation (inline, batched, or
-  // pooled) debits one token, and an empty bucket rejects with
+  // admission_session on the gate; every evaluation (inline or pooled)
+  // debits one token, and an empty bucket rejects with
   // OverloadError{retry_after_us} before any planning-adjacent work runs.
   // Tenants sharing an admission_session share one bucket (refcounted).
   double quota_evals_per_sec = 0.0;
@@ -100,9 +99,6 @@ struct RuntimeOptions {
   // when an admission gate is configured or the cutoff is > 0). An adaptive
   // admission gate overrides this with its congestion-scaled cutoff.
   std::int64_t serial_cutoff_elems = 0;
-  // When set, inline-class plans are routed through the collector so several
-  // sessions' small evaluations coalesce into one pool dispatch (batch.h).
-  BatchCollector* batcher = nullptr;
 };
 
 // Per-evaluation options: the request-scoped half of the knob surface.
@@ -138,7 +134,7 @@ class Runtime {
   // Opt-in: the options the lazily constructed process-default runtime will
   // be built with. Returns false (and changes nothing) once Default() has
   // already been constructed. Anything the options point at (shared pool,
-  // plan cache, gate, batcher) must outlive the process — see
+  // plan cache, gate) must outlive the process — see
   // ServingContext::AdoptProcessDefault() for the serving-layer wrapper
   // that gives single-client apps plan caching for free.
   static bool SetDefaultOptions(const RuntimeOptions& opts);

@@ -29,11 +29,10 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     if (tuning.max_cutoff_elems <= 0) {
       tuning.max_cutoff_elems = 16 * tuning.base_cutoff_elems;
     }
-    tuning.fair = opts_.fair_admission;
     opts_.admission_tuning = tuning;
     admission_ = std::make_unique<AdmissionGate>(tuning);
   } else {
-    admission_ = std::make_unique<AdmissionGate>(tokens, opts_.fair_admission);
+    admission_ = std::make_unique<AdmissionGate>(tokens);
   }
 
   if (opts_.plan_cache != nullptr) {
@@ -42,18 +41,10 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     owned_plan_cache_ = std::make_unique<PlanCache>(PlanCacheOptions{
         .max_entries = opts_.plan_cache_entries,
         .max_bytes = opts_.plan_cache_bytes,
-        .policy = opts_.plan_cache_policy,
         .accounting = opts_.plan_cache_true_bytes ? CacheAccounting::kTrueBytes
                                                   : CacheAccounting::kEstimate,
     });
     plan_cache_ = owned_plan_cache_.get();
-  }
-
-  if (opts_.batch_window_us > 0) {
-    batcher_ = std::make_unique<BatchCollector>(
-        pool_.get(), BatchOptions{.window_us = opts_.batch_window_us,
-                                  .max_batch = opts_.batch_max_plans,
-                                  .adaptive_window = opts_.adaptive_batch_window});
   }
 }
 
@@ -76,17 +67,9 @@ void ServingContext::Register(Session* session) {
 }
 
 void ServingContext::Unregister(Session* session) {
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(session);
-    retired_.Accumulate(session->stats().Take());
-  }
-  // A departing session can no longer ride in an open batch window; nudge
-  // any waiting leader so it does not sleep out the window for riders that
-  // will never arrive.
-  if (batcher_ != nullptr) {
-    batcher_->Flush();
-  }
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  sessions_.erase(session);
+  retired_.Accumulate(session->stats().Take());
 }
 
 bool ServingContext::AdoptProcessDefault() {
@@ -95,7 +78,6 @@ bool ServingContext::AdoptProcessDefault() {
   rt.plan_cache = plan_cache_;
   rt.admission = admission_.get();
   rt.serial_cutoff_elems = opts_.serial_cutoff_elems;
-  rt.batcher = batcher_.get();
   return Runtime::SetDefaultOptions(rt);
 }
 
@@ -119,12 +101,7 @@ bool ServingContext::Drain(std::int64_t deadline_ns) {
   //    choke point, queued waiters wake and withdraw via the same unwind
   //    the timed waits use (no leaked tokens, waiting() stays exact).
   admission_->BeginDrain();
-  // 2. Flush the batch collector: an open window's leader dispatches now
-  //    instead of sleeping out a window for riders drain already rejected.
-  if (batcher_ != nullptr) {
-    batcher_->Flush();
-  }
-  // 3. Await in-flight pooled work. Cancellation is cooperative and clients
+  // 2. Await in-flight pooled work. Cancellation is cooperative and clients
   //    hold the CancelSources, so drain does not revoke anything — it waits
   //    for holders to finish (or for their own deadlines to unwind them),
   //    bounded by the drain deadline.
@@ -151,7 +128,6 @@ Session::Session(SessionOptions opts)
   rt_opts.plan_cache = &serving_->plan_cache();
   rt_opts.admission = &serving_->admission();
   rt_opts.serial_cutoff_elems = serving_->options().serial_cutoff_elems;
-  rt_opts.batcher = serving_->batcher();
   // Every session presents an admission identity; ids never repeat within a
   // process, so an auto-assigned session can't collide with a tenant id a
   // server handed out from the same counter's range by accident.

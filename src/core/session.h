@@ -31,7 +31,6 @@
 
 #include "common/thread_pool.h"
 #include "core/admission.h"
-#include "core/batch.h"
 #include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "core/stats.h"
@@ -45,10 +44,9 @@ struct ServingOptions {
   // elements run inline on the client's thread (admission.h).
   std::int64_t serial_cutoff_elems = 4096;
   std::size_t plan_cache_entries = 1024;
-  // Byte budget for an owned plan cache (0 = entry count only) and its
-  // eviction policy; both ignored when `plan_cache` overrides the cache.
+  // Byte budget for an owned plan cache (0 = entry count only); ignored
+  // when `plan_cache` overrides the cache.
   std::size_t plan_cache_bytes = 0;
-  EvictionPolicy plan_cache_policy = EvictionPolicy::kLru;
   PlanCache* plan_cache = nullptr;  // non-owning override; null = private cache
   // Queue-depth-adaptive admission (admission.h): the gate shrinks its token
   // budget and grows the inline cutoff as the shared pool congests. Zeros in
@@ -57,19 +55,6 @@ struct ServingOptions {
   bool adaptive_admission = false;
   AdmissionOptions admission_tuning{.max_tokens = 0, .base_cutoff_elems = 0,
                                     .max_cutoff_elems = 0};
-  // Per-session weighted deficit-round-robin for contended admission tokens
-  // (admission.h): a sparse session's wait stays bounded no matter how deep
-  // a chatty neighbor's backlog is. false = the strict-FIFO ablation, where
-  // one session's flood delays everyone queued behind it.
-  bool fair_admission = true;
-  // Cross-session micro-batching (batch.h): > 0 coalesces inline-class plans
-  // arriving within this window into one pool dispatch.
-  std::int64_t batch_window_us = 0;
-  int batch_max_plans = 8;
-  // Arrival-rate-adaptive batching window (batch.h): leaders wait only as
-  // long as the inter-arrival EWMA predicts a rider, so a lone client stops
-  // paying batch_window_us per evaluation. false = fixed-window ablation.
-  bool adaptive_batch_window = true;
   // Charge the owned plan cache's byte budget with allocator-true entry
   // footprints (plan_cache.h CountPlanHeapBytes). false = the structural-
   // estimate ablation. Ignored when `plan_cache` overrides the cache.
@@ -95,10 +80,9 @@ class ServingContext {
   ThreadPool& pool() { return *pool_; }
   PlanCache& plan_cache() { return *plan_cache_; }
   AdmissionGate& admission() { return *admission_; }
-  BatchCollector* batcher() { return batcher_.get(); }  // null unless windowed
 
   // Opt-in for single-client apps: wires THIS context's pool, plan cache,
-  // admission gate, and batcher into the options the process-default
+  // and admission gate into the options the process-default
   // Runtime (Runtime::Default()) will be built with, so plain wrapped calls
   // outside any Session get plan caching for free. Returns false once the
   // default runtime already exists. The context must outlive the process —
@@ -112,11 +96,10 @@ class ServingContext {
 
   int num_live_sessions();
 
-  // Graceful drain (ISSUE 10): stops admitting new evaluations (they throw
+  // Graceful drain: stops admitting new evaluations (they throw
   // OverloadError{kDraining}; queued admission waiters are woken and
-  // rejected the same way), flushes the batch collector so no leader sleeps
-  // out a window for riders that will never come, then waits for in-flight
-  // pooled work to retire (in_use() and waiting() both zero). `deadline_ns`
+  // rejected the same way), then waits for in-flight pooled work to retire
+  // (in_use() and waiting() both zero). `deadline_ns`
   // is an absolute NowNanos() deadline (0 = wait indefinitely); returns
   // true when the gate quiesced, false when the deadline hit first — either
   // way the gate stays draining, so the context winds down monotonically
@@ -136,7 +119,6 @@ class ServingContext {
   std::unique_ptr<PlanCache> owned_plan_cache_;  // null when opts_.plan_cache set
   PlanCache* plan_cache_;
   std::unique_ptr<AdmissionGate> admission_;
-  std::unique_ptr<BatchCollector> batcher_;  // null when batch_window_us == 0
 
   std::mutex sessions_mu_;
   std::unordered_set<Session*> sessions_;
@@ -156,8 +138,8 @@ struct SessionOptions {
   std::uint64_t admission_session = 0;
   int admission_weight = 1;
   // Per-session rate limit, enforced at the shared gate before any other
-  // admission work (admission.h quotas): every evaluation — inline, batched,
-  // or pooled — debits one token; an empty bucket throws OverloadError
+  // admission work (admission.h quotas): every evaluation — inline or
+  // pooled — debits one token; an empty bucket throws OverloadError
   // (kQuota) carrying retry_after_us. Sessions sharing an admission_session
   // id share the bucket (tenant-wide rate). 0 = unlimited.
   double quota_evals_per_sec = 0.0;

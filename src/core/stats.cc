@@ -24,13 +24,6 @@ std::string EvalStats::Snapshot::ToString() const {
       os << " [evicted " << plan_cache_evictions << " plans, "
          << plan_cache_bytes_evicted << "/" << plan_cache_bytes_inserted << " bytes]";
     }
-    if (batched_evals > 0) {
-      os << " [batched=" << batched_evals;
-      if (batch_window_adapted_us > 0) {
-        os << ", adaptive window " << batch_window_adapted_us << "us total";
-      }
-      os << "]";
-    }
     if (plan_cache_true_bytes > 0) {
       os << " [cache resident<=" << plan_cache_true_bytes << " bytes]";
     }

@@ -43,10 +43,6 @@ class EvalStats {
     std::int64_t plan_cache_evictions = 0;
     std::int64_t plan_cache_bytes_inserted = 0;
     std::int64_t plan_cache_bytes_evicted = 0;
-    // Small evaluations coalesced through the BatchCollector (batch.h).
-    // Batched evals also count as serial_evals: they are the inline class,
-    // just dispatched together, so serial + pooled still equals evaluations.
-    std::int64_t batched_evals = 0;
     // Stage-boundary piece passing (executor.h): buffers whose merge and
     // re-split were elided, the pieces handed across those boundaries, and
     // the merge traffic (best-effort bytes) the elisions avoided.
@@ -82,12 +78,8 @@ class EvalStats {
     std::int64_t window_firings = 0;
     std::int64_t window_lag_ns = 0;
     std::int64_t incremental_merges = 0;
-    // Serving hardening (ISSUE 8): total effective window chosen by adaptive
-    // BatchCollector leaders (µs — compare against dispatches × window_us to
-    // see what lone clients stopped paying), and the largest allocator-true
-    // plan-cache residency this session's inserts observed (bytes; max-
-    // aggregated like footprint_bytes_max).
-    std::int64_t batch_window_adapted_us = 0;
+    // The largest allocator-true plan-cache residency this session's
+    // inserts observed (bytes; max-aggregated like footprint_bytes_max).
     std::int64_t plan_cache_true_bytes = 0;
     // Request-lifecycle outcomes (ISSUE 9): evaluations rejected up front
     // because the admission backlog already exceeded their deadline (shed)
@@ -140,7 +132,6 @@ class EvalStats {
       plan_cache_evictions += other.plan_cache_evictions;
       plan_cache_bytes_inserted += other.plan_cache_bytes_inserted;
       plan_cache_bytes_evicted += other.plan_cache_bytes_evicted;
-      batched_evals += other.batched_evals;
       boundaries_elided += other.boundaries_elided;
       carry_pieces += other.carry_pieces;
       bytes_merge_avoided += other.bytes_merge_avoided;
@@ -155,7 +146,6 @@ class EvalStats {
       window_firings += other.window_firings;
       window_lag_ns += other.window_lag_ns;
       incremental_merges += other.incremental_merges;
-      batch_window_adapted_us += other.batch_window_adapted_us;
       plan_cache_true_bytes = std::max(plan_cache_true_bytes, other.plan_cache_true_bytes);
       shed_evals += other.shed_evals;
       quota_rejects += other.quota_rejects;
@@ -193,7 +183,6 @@ class EvalStats {
     s.plan_cache_evictions = plan_cache_evictions.load(std::memory_order_relaxed);
     s.plan_cache_bytes_inserted = plan_cache_bytes_inserted.load(std::memory_order_relaxed);
     s.plan_cache_bytes_evicted = plan_cache_bytes_evicted.load(std::memory_order_relaxed);
-    s.batched_evals = batched_evals.load(std::memory_order_relaxed);
     s.boundaries_elided = boundaries_elided.load(std::memory_order_relaxed);
     s.carry_pieces = carry_pieces.load(std::memory_order_relaxed);
     s.bytes_merge_avoided = bytes_merge_avoided.load(std::memory_order_relaxed);
@@ -208,7 +197,6 @@ class EvalStats {
     s.window_firings = window_firings.load(std::memory_order_relaxed);
     s.window_lag_ns = window_lag_ns.load(std::memory_order_relaxed);
     s.incremental_merges = incremental_merges.load(std::memory_order_relaxed);
-    s.batch_window_adapted_us = batch_window_adapted_us.load(std::memory_order_relaxed);
     s.plan_cache_true_bytes = plan_cache_true_bytes.load(std::memory_order_relaxed);
     s.shed_evals = shed_evals.load(std::memory_order_relaxed);
     s.quota_rejects = quota_rejects.load(std::memory_order_relaxed);
@@ -245,7 +233,6 @@ class EvalStats {
     plan_cache_evictions.fetch_add(s.plan_cache_evictions, std::memory_order_relaxed);
     plan_cache_bytes_inserted.fetch_add(s.plan_cache_bytes_inserted, std::memory_order_relaxed);
     plan_cache_bytes_evicted.fetch_add(s.plan_cache_bytes_evicted, std::memory_order_relaxed);
-    batched_evals.fetch_add(s.batched_evals, std::memory_order_relaxed);
     boundaries_elided.fetch_add(s.boundaries_elided, std::memory_order_relaxed);
     carry_pieces.fetch_add(s.carry_pieces, std::memory_order_relaxed);
     bytes_merge_avoided.fetch_add(s.bytes_merge_avoided, std::memory_order_relaxed);
@@ -260,7 +247,6 @@ class EvalStats {
     window_firings.fetch_add(s.window_firings, std::memory_order_relaxed);
     window_lag_ns.fetch_add(s.window_lag_ns, std::memory_order_relaxed);
     incremental_merges.fetch_add(s.incremental_merges, std::memory_order_relaxed);
-    batch_window_adapted_us.fetch_add(s.batch_window_adapted_us, std::memory_order_relaxed);
     MaxInto(plan_cache_true_bytes, s.plan_cache_true_bytes);
     shed_evals.fetch_add(s.shed_evals, std::memory_order_relaxed);
     quota_rejects.fetch_add(s.quota_rejects, std::memory_order_relaxed);
@@ -302,7 +288,6 @@ class EvalStats {
     plan_cache_evictions = 0;
     plan_cache_bytes_inserted = 0;
     plan_cache_bytes_evicted = 0;
-    batched_evals = 0;
     boundaries_elided = 0;
     carry_pieces = 0;
     bytes_merge_avoided = 0;
@@ -317,7 +302,6 @@ class EvalStats {
     window_firings = 0;
     window_lag_ns = 0;
     incremental_merges = 0;
-    batch_window_adapted_us = 0;
     plan_cache_true_bytes = 0;
     shed_evals = 0;
     quota_rejects = 0;
@@ -350,7 +334,6 @@ class EvalStats {
   std::atomic<std::int64_t> plan_cache_evictions{0};
   std::atomic<std::int64_t> plan_cache_bytes_inserted{0};
   std::atomic<std::int64_t> plan_cache_bytes_evicted{0};
-  std::atomic<std::int64_t> batched_evals{0};
   std::atomic<std::int64_t> boundaries_elided{0};
   std::atomic<std::int64_t> carry_pieces{0};
   std::atomic<std::int64_t> bytes_merge_avoided{0};
@@ -365,7 +348,6 @@ class EvalStats {
   std::atomic<std::int64_t> window_firings{0};
   std::atomic<std::int64_t> window_lag_ns{0};
   std::atomic<std::int64_t> incremental_merges{0};
-  std::atomic<std::int64_t> batch_window_adapted_us{0};
   std::atomic<std::int64_t> plan_cache_true_bytes{0};
   std::atomic<std::int64_t> shed_evals{0};
   std::atomic<std::int64_t> quota_rejects{0};

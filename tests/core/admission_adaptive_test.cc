@@ -117,6 +117,23 @@ TEST(AdmissionAdaptiveTest, DegenerateTuningIsSanitized) {
   EXPECT_EQ(gate.options().min_tokens, 1);
   EXPECT_GE(gate.options().ewma_alpha, 0.0);
   EXPECT_LE(gate.options().ewma_alpha, 1.0);
+
+  // A non-positive half-life falls back to the default instead of turning
+  // decay off, so a burst's shrunk budget still recovers after an idle gap.
+  for (double half_life_us : {0.0, -250.0}) {
+    AdmissionOptions t = Tuning();
+    t.decay_half_life_us = half_life_us;
+    AdmissionGate decaying(t);
+    EXPECT_EQ(decaying.options().decay_half_life_us, AdmissionOptions{}.decay_half_life_us);
+    std::int64_t now = 1'000'000;
+    for (int i = 0; i < 20; ++i) {
+      decaying.ObserveAtNanos(1 << 16, now);
+      now += 1'000;
+    }
+    ASSERT_EQ(decaying.tokens(), t.min_tokens) << "half_life_us=" << half_life_us;
+    decaying.ObserveAtNanos(0, now + 1'000'000'000);
+    EXPECT_EQ(decaying.tokens(), t.max_tokens) << "half_life_us=" << half_life_us;
+  }
 }
 
 TEST(AdmissionAdaptiveTest, NoStarvationOfLargePlansUnderFullCongestion) {

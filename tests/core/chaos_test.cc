@@ -1,6 +1,6 @@
-// Deterministic chaos battery (ISSUE 9): the seeded fault injector
-// (common/fault.h) sweeps injected throws and delays across the serving
-// stack's knob matrix — pipeline_stages × dynamic_scheduling × batching —
+// Deterministic chaos battery: the seeded fault injector (common/fault.h)
+// sweeps injected throws and delays across the serving stack's knob matrix
+// — pipeline_stages × dynamic_scheduling × adaptive_admission —
 // and after every faulted run asserts the invariants that define "robust":
 //
 //  * no leaked admission tokens, no stranded waiters (gate introspection);
@@ -48,7 +48,7 @@ Vec Iota(long n, double start) {
   return v;
 }
 
-// Two eval classes per attempt: a small pipeline (inline / batched class)
+// Two eval classes per attempt: a small pipeline (inline class)
 // and a large one with a reduction tail (pooled class; the merge-only Sum
 // exercises the exec.merge site).
 struct RunResult {
@@ -57,7 +57,7 @@ struct RunResult {
   double sum = 0.0;
 };
 
-constexpr long kSmallN = 512;  // well under the cutoff: inline/batched class
+constexpr long kSmallN = 512;  // well under the cutoff: inline class
 constexpr long kLargeN = 32768;
 
 void CaptureSmall(const Vec& a, const Vec& b, Vec* out) {
@@ -92,11 +92,11 @@ RunResult Serve(Session& session, const Vec& sa, const Vec& sb, const Vec& la, c
   return r;
 }
 
-ServingOptions Knobs(bool batching) {
+ServingOptions Knobs(bool adaptive) {
   return ServingOptions{.pool_threads = 4,
                         .max_pool_sessions = 2,
                         .serial_cutoff_elems = 4096,
-                        .batch_window_us = batching ? 100 : 0};
+                        .adaptive_admission = adaptive};
 }
 
 TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
@@ -115,10 +115,10 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
   std::set<std::string> sites_hit;
   for (bool pipeline : {false, true}) {
     for (bool dynamic : {false, true}) {
-      for (bool batching : {false, true}) {
+      for (bool adaptive : {false, true}) {
         // Uninjected reference for this knob cell: what a clean run of the
         // exact same configuration produces.
-        ServingContext ref_ctx(Knobs(batching));
+        ServingContext ref_ctx(Knobs(adaptive));
         SessionOptions ref_opts;
         ref_opts.serving = &ref_ctx;
         ref_opts.runtime.dynamic_scheduling = dynamic;
@@ -127,7 +127,7 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
         const RunResult ref = Serve(ref_session, sa, sb, la, lb);
 
         for (int seed = 1; seed <= num_seeds; ++seed, ++runs) {
-          ServingContext ctx(Knobs(batching));
+          ServingContext ctx(Knobs(adaptive));
           SessionOptions opts;
           opts.serving = &ctx;
           opts.runtime.dynamic_scheduling = dynamic;
@@ -161,10 +161,10 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
           // Invariant: whatever the faults tore up, the gate is clean...
           ASSERT_EQ(ctx.admission().in_use(), 0)
               << "leaked token: pipeline=" << pipeline << " dynamic=" << dynamic
-              << " batching=" << batching << " seed=" << cfg.seed;
+              << " adaptive=" << adaptive << " seed=" << cfg.seed;
           ASSERT_EQ(ctx.admission().waiting(), 0)
               << "stuck waiter: pipeline=" << pipeline << " dynamic=" << dynamic
-              << " batching=" << batching << " seed=" << cfg.seed;
+              << " adaptive=" << adaptive << " seed=" << cfg.seed;
 
           // ...and the session still serves, bit-identically to the
           // uninjected reference run of this configuration.
@@ -183,9 +183,9 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
   EXPECT_GT(total_fires, 0) << "the sweep never injected a single fault";
   // Coverage: every site these configurations compile through must have been
   // hit somewhere in the sweep. (stream.* sites are covered by the stream
-  // sweep below; batch.dispatch only exists when batching is on.)
-  for (const char* site : {"admission.acquire", "plan_cache.lookup", "exec.batch", "exec.split",
-                           "exec.merge", "batch.dispatch"}) {
+  // sweep below.)
+  for (const char* site :
+       {"admission.acquire", "plan_cache.lookup", "exec.batch", "exec.split", "exec.merge"}) {
     EXPECT_TRUE(sites_hit.count(site) != 0) << "site never hit across the sweep: " << site;
   }
 }
@@ -343,7 +343,7 @@ TEST(ChaosTest, ResilientRetryConvergesAndBudgetBalances) {
   }
 
   for (int seed = 1; seed <= 6; ++seed) {
-    ServingContext ctx(Knobs(/*batching=*/false));
+    ServingContext ctx(Knobs(/*adaptive=*/false));
     SessionOptions opts;
     opts.serving = &ctx;
     Session session(opts);
@@ -406,7 +406,7 @@ TEST(ChaosTest, ResilienceTraceReplaysBitIdentical) {
   const Vec a = Iota(kSmallN, 1.0), b = Iota(kSmallN, 2.0);
 
   auto run_once = [&] {
-    ServingContext ctx(Knobs(/*batching=*/false));
+    ServingContext ctx(Knobs(/*adaptive=*/false));
     SessionOptions opts;
     opts.serving = &ctx;
     opts.admission_session = 4242;  // fixed tenant key → fresh state per ctx

@@ -1,12 +1,9 @@
-// Deadlines, cancellation, and backpressure end-to-end (ISSUE 9): expired
-// and mid-flight cancellation leave the runtime reusable; the admission gate
+// Deadlines, cancellation, and backpressure end-to-end: expired and
+// mid-flight cancellation leave the runtime reusable; the admission gate
 // sheds work it predicts cannot meet its deadline, times out queued waiters
-// without leaking queue state, and enforces per-session rate quotas; the
-// batch collector never strands a rider behind a window its deadline cannot
-// survive, and a dispatch failure reaches every job in the batch instead of
-// hanging the followers. "core;serving" label → rides the CI TSan job: the
-// timed-wait withdrawal path and the deadline bypass are new cross-thread
-// coordination.
+// without leaking queue state, and enforces per-session rate quotas.
+// "core;serving" label → rides the CI TSan job: the timed-wait withdrawal
+// path is cross-thread coordination.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +14,8 @@
 
 #include "common/cancel.h"
 #include "common/fault.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/admission.h"
-#include "core/batch.h"
 #include "core/client.h"
 #include "core/session.h"
 #include "vecmath/annotated.h"
@@ -287,69 +282,6 @@ TEST(DeadlineTest, SessionQuotaRejectsAndCounts) {
   }
   EXPECT_EQ(session.stats().quota_rejects.load(), 1);
   EXPECT_EQ(session.stats().evaluations.load(), 1);
-}
-
-// A rider whose deadline falls inside the open batch's dispatch window must
-// not ride: it runs solo immediately instead of sleeping out the window.
-TEST(DeadlineTest, DeadlineRiderBypassesOpenBatch) {
-  ThreadPool pool(2);
-  BatchCollector collector(&pool, BatchOptions{.window_us = 200'000, .max_batch = 8});
-
-  std::atomic<bool> leader_ran{false};
-  std::thread leader([&] {
-    collector.Run([&] { leader_ran.store(true); });  // opens a 200ms window
-  });
-  while (collector.jobs() < 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-
-  std::atomic<bool> rider_ran{false};
-  const std::int64_t t0 = NowNanos();
-  collector.Run([&] { rider_ran.store(true); }, nullptr,
-                /*deadline_ns=*/NowNanos() + 5'000'000);  // 5ms < 200ms window
-  const std::int64_t rider_ns = NowNanos() - t0;
-  EXPECT_TRUE(rider_ran.load());
-  EXPECT_LT(rider_ns, 100'000'000) << "rider slept out the leader's window";
-  EXPECT_EQ(collector.deadline_bypasses(), 1);
-
-  collector.Flush();  // release the leader
-  leader.join();
-  EXPECT_TRUE(leader_ran.load());
-}
-
-// Regression (pre-fix the followers hang forever): a Dispatch() failure must
-// mark the batch done and surface the error on every job it never ran.
-TEST(DeadlineTest, BatchDispatchFailureReachesEveryJob) {
-  ThreadPool pool(2);
-  BatchCollector collector(&pool, BatchOptions{.window_us = 100'000, .max_batch = 2});
-
-  FaultConfig cfg;
-  cfg.p_throw = 1.0;
-  cfg.only_site = "batch.dispatch";
-  FaultInjector::Global().Arm(cfg);
-
-  std::atomic<int> threw{0};
-  std::atomic<int> ran{0};
-  auto eval = [&] {
-    try {
-      collector.Run([&] { ran.fetch_add(1); });
-    } catch (const FaultInjected&) {
-      threw.fetch_add(1);
-    }
-  };
-  std::thread t1(eval), t2(eval);  // max_batch=2: second arrival dispatches
-  t1.join();
-  t2.join();
-  FaultInjector::Global().Disarm();
-
-  EXPECT_EQ(threw.load(), 2) << "dispatch failure must reach leader AND rider";
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_GE(FaultInjector::Global().fires(), 1);
-
-  // The collector survives: a clean batch still runs.
-  std::atomic<bool> ok{false};
-  collector.Run([&] { ok.store(true); });
-  EXPECT_TRUE(ok.load());
 }
 
 // Regression for the admission-token audit: an exception thrown from inside

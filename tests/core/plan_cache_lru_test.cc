@@ -5,7 +5,7 @@
 //   * entry and byte accounting never drift from the model's (and the byte
 //     budget is never exceeded while more than one entry is resident);
 //   * eviction order is exactly the model's (LRU promotes on hit and on
-//     refresh; FIFO never promotes);
+//     refresh);
 //   * a full-fingerprint mismatch (same 64-bit hash, different words) never
 //     serves a cached plan — collisions chain, they do not alias;
 //   * hit/miss counters agree with the model after every interleaving.
@@ -55,9 +55,7 @@ class ModelCache {
       if (it->key == key) {
         ++hits_;
         int payload = it->payload;
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, it);
-        }
+        order_.splice(order_.end(), order_, it);
         return payload;
       }
     }
@@ -74,9 +72,7 @@ class ModelCache {
         bytes_ -= it->bytes;
         it->payload = payload;
         it->bytes = entry_bytes;
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, it);  // a refresh is a touch
-        }
+        order_.splice(order_.end(), order_, it);  // a refresh is a touch
         refreshed = true;
         break;
       }
@@ -185,7 +181,6 @@ void RunRandomizedTrace(const PropertyConfig& cfg, std::uint32_t seed) {
 TEST(PlanCacheLruPropertyTest, EntryCappedLruMatchesModel) {
   PropertyConfig cfg{"entry-capped LRU",
                      PlanCacheOptions{.max_entries = 8, .max_bytes = 0,
-                                      .policy = EvictionPolicy::kLru,
                                       .accounting = CacheAccounting::kEstimate},
                      /*universe=*/24, /*hash_buckets=*/5};
   for (std::uint32_t seed : {1u, 2u, 3u}) {
@@ -198,7 +193,6 @@ TEST(PlanCacheLruPropertyTest, ByteCappedLruMatchesModel) {
   // holds only a handful of entries, so eviction runs constantly.
   PropertyConfig cfg{"byte-capped LRU",
                      PlanCacheOptions{.max_entries = 1024, .max_bytes = 6 * 1024,
-                                      .policy = EvictionPolicy::kLru,
                                       .accounting = CacheAccounting::kEstimate},
                      /*universe=*/24, /*hash_buckets=*/5};
   for (std::uint32_t seed : {7u, 8u, 9u}) {
@@ -209,7 +203,6 @@ TEST(PlanCacheLruPropertyTest, ByteCappedLruMatchesModel) {
 TEST(PlanCacheLruPropertyTest, DualCapMatchesModel) {
   PropertyConfig cfg{"entry+byte-capped LRU",
                      PlanCacheOptions{.max_entries = 6, .max_bytes = 8 * 1024,
-                                      .policy = EvictionPolicy::kLru,
                                       .accounting = CacheAccounting::kEstimate},
                      /*universe=*/32, /*hash_buckets=*/4};
   for (std::uint32_t seed : {11u, 12u, 13u}) {
@@ -217,21 +210,10 @@ TEST(PlanCacheLruPropertyTest, DualCapMatchesModel) {
   }
 }
 
-TEST(PlanCacheLruPropertyTest, FifoPolicyMatchesModel) {
-  PropertyConfig cfg{"entry-capped FIFO",
-                     PlanCacheOptions{.max_entries = 8, .max_bytes = 0,
-                                      .policy = EvictionPolicy::kFifo,
-                                      .accounting = CacheAccounting::kEstimate},
-                     /*universe=*/24, /*hash_buckets=*/5};
-  for (std::uint32_t seed : {21u, 22u, 23u}) {
-    RunRandomizedTrace(cfg, seed);
-  }
-}
-
 // ---- targeted invariants the random traces also cover, pinned explicitly ----
 
 TEST(PlanCacheLruTest, LookupPromotesSoHotEntrySurvivesColdStream) {
-  PlanCache cache(PlanCacheOptions{.max_entries = 3, .policy = EvictionPolicy::kLru});
+  PlanCache cache(PlanCacheOptions{.max_entries = 3});
   const PlanKey hot = KeyFor(0, 1000);
   cache.Insert(hot, PayloadPlan(1), {});
   // Stream cold keys through the cache, touching the hot key between every
@@ -241,17 +223,6 @@ TEST(PlanCacheLruTest, LookupPromotesSoHotEntrySurvivesColdStream) {
     cache.Insert(KeyFor(id, 1000), PayloadPlan(2), {});
   }
   EXPECT_TRUE(cache.Contains(hot));
-}
-
-TEST(PlanCacheLruTest, FifoEvictsHotEntryDespiteLookups) {
-  PlanCache cache(PlanCacheOptions{.max_entries = 3, .policy = EvictionPolicy::kFifo});
-  const PlanKey hot = KeyFor(0, 1000);
-  cache.Insert(hot, PayloadPlan(1), {});
-  for (int id = 1; id <= 3; ++id) {
-    (void)cache.Lookup(hot);  // touches must NOT save it under FIFO
-    cache.Insert(KeyFor(id, 1000), PayloadPlan(2), {});
-  }
-  EXPECT_FALSE(cache.Contains(hot)) << "FIFO promoted on lookup";
 }
 
 TEST(PlanCacheLruTest, ByteBudgetEvictsByRecency) {

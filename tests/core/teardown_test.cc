@@ -1,9 +1,8 @@
-// Teardown under load (ISSUE 9): sessions created, evaluated, and destroyed
-// while other sessions' batched and pooled evaluations are in flight — and
-// after a request was aborted (deadline / cancel) while blocked in
-// admission. The serving context must come out clean every time: no leaked
-// admission tokens, no stranded waiters, no stuck batch followers, and the
-// survivors' results stay correct. "core;serving" → rides the CI TSan job.
+// Teardown under load: sessions created, evaluated, and destroyed while
+// other sessions' inline and pooled evaluations are in flight — and after a
+// request was aborted (deadline / cancel) while blocked in admission. The
+// serving context must come out clean every time: no leaked admission
+// tokens, no stranded waiters, and the survivors' results stay correct. "core;serving" → rides the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,18 +44,17 @@ std::vector<double> Expected(long n, const std::vector<double>& a, const std::ve
 
 // Churn: every client thread repeatedly constructs a Session, runs a mix of
 // inline-class and pooled-class evaluations (some with deadlines), and
-// destroys it — all against one shared context with batching enabled, so
-// teardown overlaps open batch windows and held admission tokens.
+// destroys it — all against one shared context, so teardown overlaps other
+// sessions' in-flight evaluations and held admission tokens.
 TEST(TeardownTest, SessionChurnUnderLoadLeavesContextClean) {
   mzvec::EnsureRegistered();
   ServingContext ctx(ServingOptions{.pool_threads = 4,
                                     .max_pool_sessions = 2,
-                                    .serial_cutoff_elems = 4096,
-                                    .batch_window_us = 200});
+                                    .serial_cutoff_elems = 4096});
 
   constexpr int kThreads = 4;
   constexpr int kSessionsPerThread = 8;
-  const long small_n = 512;    // inline/batched class
+  const long small_n = 512;    // inline class
   const long large_n = 65536;  // pooled class
   std::vector<double> sa = Iota(small_n, 1.0), sb = Iota(small_n, 2.0);
   std::vector<double> la = Iota(large_n, 1.0), lb = Iota(large_n, 2.0);
@@ -73,7 +71,7 @@ TEST(TeardownTest, SessionChurnUnderLoadLeavesContextClean) {
         SessionOptions opts;
         opts.serving = &ctx;
         Session session(opts);
-        // Small (rides the batcher) then large (holds a token), then one
+        // Small (runs inline) then large (holds a token), then one
         // deadline-bearing eval that may abort in admission under load.
         {
           Session::Scope scope(session);
@@ -113,7 +111,7 @@ TEST(TeardownTest, SessionChurnUnderLoadLeavesContextClean) {
           session.Reset();
         }
         // Session destroyed here — possibly while other threads' evals are
-        // mid-batch-window or queued at the gate.
+        // running or queued at the gate.
       }
     });
   }
